@@ -33,8 +33,8 @@ func TestRefreshWeightsParallelBranch(t *testing.T) {
 	}
 
 	build := func(workers int) *mgcplState {
-		st, err := newMGCPLState(rows, cards, k, DefaultLearningRate, defaultRivalThreshold,
-			rand.New(rand.NewSource(3)), workers)
+		cfg := MGCPLConfig{InitialK: k, Workers: workers, Rand: rand.New(rand.NewSource(3))}
+		st, err := newMGCPLState(rows, cards, k, cfg.withDefaults(n), &mgcplBuffers{})
 		if err != nil {
 			t.Fatal(err)
 		}

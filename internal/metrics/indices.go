@@ -63,6 +63,11 @@ func AdjustedRandIndex(truth, pred []int) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
+	if c.n < 2 {
+		// A lone object forms no pair: both partitions are trivial, and
+		// the chance correction below would be 0/0.
+		return 1, nil
+	}
 	var sumCells, sumA, sumB float64
 	for i, row := range c.cell {
 		sumA += comb2(c.a[i])

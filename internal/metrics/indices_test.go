@@ -88,6 +88,31 @@ func TestIndependentPartitionsScoreNearZero(t *testing.T) {
 	}
 }
 
+// TestARITrivialPartitions pins ARI on partitions that leave the chance
+// correction nothing to correct: 1 whenever both sides are trivial,
+// including a single row, which forms no pair at all.
+func TestARITrivialPartitions(t *testing.T) {
+	for _, c := range []struct {
+		name        string
+		truth, pred []int
+		want        float64
+	}{
+		{"one row", []int{0}, []int{0}, 1},
+		{"one row, other labels", []int{3}, []int{5}, 1},
+		{"two singletons each", []int{0, 1}, []int{1, 0}, 1},
+		{"one cluster each", []int{2, 2, 2}, []int{0, 0, 0}, 1},
+		{"one cluster vs singletons", []int{0, 0}, []int{0, 1}, 0},
+	} {
+		got, err := AdjustedRandIndex(c.truth, c.pred)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if got != c.want {
+			t.Errorf("%s: ARI = %v, want %v", c.name, got, c.want)
+		}
+	}
+}
+
 func TestMetricErrors(t *testing.T) {
 	if _, err := Accuracy([]int{0, 1}, []int{0}); err == nil {
 		t.Error("length mismatch: want error")

@@ -89,7 +89,7 @@ type sessionPool struct {
 
 	evicted      atomic.Int64 // sessions evicted by the TTL sweeper
 	restored     atomic.Int64 // sessions paged in from checkpoints
-	checkpoints  atomic.Int64 // checkpoint files written
+	checkpoints  atomic.Int64 // checkpoint files written, by any path
 	lowSimRetire atomic.Int64 // drift counts of evicted/deleted sessions
 
 	shipped      atomic.Int64 // checkpoints shipped to a replica holder
@@ -394,6 +394,7 @@ func (p *sessionPool) saveLocked(id string, s *session) error {
 	if err := writeFileAtomic(p.path(id), buf.Bytes()); err != nil {
 		return err
 	}
+	p.checkpoints.Add(1)
 	s.dirty = false
 	if p.ckpt != nil {
 		p.ckpt.observe(time.Since(started))
@@ -441,7 +442,6 @@ func (p *sessionPool) checkpointAll() int {
 			s.mu.Unlock()
 		}
 	}
-	p.checkpoints.Add(int64(n))
 	return n
 }
 

@@ -306,6 +306,69 @@ func TestEvictionSpillsAndPagesBackIn(t *testing.T) {
 	}
 }
 
+// checkpointsTotal reads mcdcd_session_checkpoints_total off the daemon's
+// metrics exposition.
+func checkpointsTotal(t *testing.T, url string) string {
+	t.Helper()
+	for _, line := range strings.Split(scrape(t, url), "\n") {
+		if v, ok := strings.CutPrefix(line, "mcdcd_session_checkpoints_total "); ok {
+			return v
+		}
+	}
+	t.Fatal("mcdcd_session_checkpoints_total missing from the exposition")
+	return ""
+}
+
+// TestCheckpointCounterCountsEveryWrite pins mcdcd_session_checkpoints_total
+// to the checkpoint files actually written, whichever path wrote them: the
+// create and per-assignment writes of a replicated daemon (whose clean
+// sessions the flush then skips), and a durable pool's eviction, flush and
+// shutdown writes.
+func TestCheckpointCounterCountsEveryWrite(t *testing.T) {
+	snap, rows, _ := trainModel(t, 200, 6, 3, 47)
+
+	repl, replTS := newTestServer(t, Config{Replicate: true, StateDir: t.TempDir()})
+	if err := repl.AddModel("m", snap); err != nil {
+		t.Fatal(err)
+	}
+	createSession(t, replTS.URL, "s", 40, 3)
+	feedSession(t, replTS.URL, "s", rows, 0, 5)
+	if got := checkpointsTotal(t, replTS.URL); got != "6" {
+		t.Fatalf("replicated: create + 5 assigns wrote %s checkpoints by the counter, want 6", got)
+	}
+	if n := repl.CheckpointSessions(); n != 0 {
+		t.Fatalf("replicated flush rewrote %d clean sessions, want 0", n)
+	}
+	if got := checkpointsTotal(t, replTS.URL); got != "6" {
+		t.Fatalf("replicated: counter %s after a no-op flush, want 6", got)
+	}
+
+	durable, durableTS := newTestServer(t, Config{StateDir: t.TempDir()})
+	if err := durable.AddModel("m", snap); err != nil {
+		t.Fatal(err)
+	}
+	createSession(t, durableTS.URL, "s", 40, 3)
+	feedSession(t, durableTS.URL, "s", rows, 0, 5)
+	if got := checkpointsTotal(t, durableTS.URL); got != "0" {
+		t.Fatalf("durable: counter %s before any write, want 0", got)
+	}
+	time.Sleep(2 * time.Millisecond)
+	if n := durable.SweepSessions(time.Millisecond); n != 1 {
+		t.Fatalf("sweep evicted %d, want 1", n)
+	}
+	if got := checkpointsTotal(t, durableTS.URL); got != "1" {
+		t.Fatalf("durable: counter %s after an eviction write, want 1", got)
+	}
+	feedSession(t, durableTS.URL, "s", rows, 5, 7)
+	if n := durable.CheckpointSessions(); n != 1 {
+		t.Fatalf("flush wrote %d, want 1", n)
+	}
+	durable.Close()
+	if got := durable.sessions.checkpoints.Load(); got != 3 {
+		t.Fatalf("durable: counter %d after eviction + flush + shutdown writes, want 3", got)
+	}
+}
+
 // TestConcurrentSessionLifecycleRace is the -race hammer over the full
 // session lifecycle: concurrent create / assign / sweep-evict / checkpoint /
 // delete traffic against a durable pool while a model hot swap runs. It

@@ -92,6 +92,10 @@ func (t *Tables) N() int { return len(t.data) }
 // D returns the number of features.
 func (t *Tables) D() int { return len(t.card) }
 
+// Stride returns the flat-index stride (the largest cardinality): value v of
+// feature r sits at r*Stride()+v in a cluster's count table.
+func (t *Tables) Stride() int { return t.stride }
+
 // Size returns n_l, the number of objects currently assigned to cluster l.
 func (t *Tables) Size(l int) int { return t.size[l] }
 
@@ -222,6 +226,27 @@ func (t *Tables) WeightedSimLOO(i, l int, w []float64, member bool) float64 {
 		sum += w[r] * float64(cnt) / float64(seen)
 	}
 	return sum / float64(len(row))
+}
+
+// FillProbePlane writes cluster l's non-member WeightedSimLOO operands into
+// plane (len ≥ D·Stride): plane[r*Stride+v] = w[r]·count/seen, formed exactly
+// as WeightedSimLOO forms it, and 0 wherever that loop would skip the term
+// (count ≤ 0 or seen ≤ 0). Summing the plane at a row's non-missing flat
+// indices r*Stride+v, in feature order, and dividing by D therefore gives
+// WeightedSimLOO(i, l, w, false) bit for bit: the skipped terms become +0.0
+// additions to a non-negative sum, which leave its bits unchanged.
+func (t *Tables) FillProbePlane(l int, w []float64, plane []float64) {
+	cl, sl := t.count[l], t.seen[l]
+	for r, seen := range sl {
+		dst := plane[r*t.stride : (r+1)*t.stride]
+		for v := range dst {
+			if cnt := cl[r*t.stride+v]; seen > 0 && cnt > 0 {
+				dst[v] = w[r] * float64(cnt) / float64(seen)
+			} else {
+				dst[v] = 0
+			}
+		}
+	}
 }
 
 // InterClusterDifference computes α_rl of Eq. (15): the Euclidean separation

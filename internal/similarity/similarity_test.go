@@ -249,3 +249,57 @@ func TestLOOMatchesNaive(t *testing.T) {
 		}
 	}
 }
+
+// TestProbePlaneGatherMatchesWeightedSimLOO pins FillProbePlane's contract:
+// summing a cluster's plane at a row's non-missing flat indices, in feature
+// order, and dividing by d reproduces WeightedSimLOO(·, false) bit for bit —
+// with Missing values, features narrower than the stride, zero weights and
+// empty clusters in the mix.
+func TestProbePlaneGatherMatchesWeightedSimLOO(t *testing.T) {
+	r := rand.New(rand.NewSource(37))
+	for trial := 0; trial < 50; trial++ {
+		n, d, k := 4+r.Intn(30), 1+r.Intn(5), 1+r.Intn(4)
+		card := make([]int, d)
+		for j := range card {
+			card[j] = 1 + r.Intn(6)
+		}
+		rows := make([][]int, n)
+		for i := range rows {
+			rows[i] = make([]int, d)
+			for j := range rows[i] {
+				rows[i][j] = r.Intn(card[j])
+				if r.Intn(6) == 0 {
+					rows[i][j] = categorical.Missing
+				}
+			}
+		}
+		tb, err := NewTables(rows, card, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range rows {
+			// Cluster k-1 stays empty whenever k > 1.
+			tb.Add(i, r.Intn(max(k-1, 1)))
+		}
+		plane := make([]float64, d*tb.Stride())
+		for l := 0; l < k; l++ {
+			w := make([]float64, d)
+			for j := range w {
+				w[j] = float64(r.Intn(3)) * r.Float64()
+			}
+			tb.FillProbePlane(l, w, plane)
+			for i, row := range rows {
+				var sum float64
+				for j, v := range row {
+					if v != categorical.Missing {
+						sum += plane[j*tb.Stride()+v]
+					}
+				}
+				got, want := sum/float64(d), tb.WeightedSimLOO(i, l, w, false)
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("trial %d cluster %d object %d: gather %v, WeightedSimLOO %v", trial, l, i, got, want)
+				}
+			}
+		}
+	}
+}
